@@ -2,15 +2,13 @@
 
 E14 established the *model* speedup: events over the slowest shard's busy
 time, with every burst still executing serially on one thread.  E15 races
-the real thing — the same churn workload under the three execution
-backends (``KernelConfig(shard_backend=...)``):
+the real thing — the same churn workload under both execution backends
+(``KernelConfig(shard_backend=...)``):
 
 * ``inproc`` — E14's serial round loop (the baseline),
-* ``thread`` — per-round bursts on a persistent thread pool.  Under
-  CPython's GIL pure-Python event callbacks cannot overlap, so this arm
-  measures the seam's overhead honestly rather than promising a speedup,
 * ``process`` — one long-lived spawn worker per shard: separate
-  interpreters, real cores, coordinator round-trips over pipes.
+  interpreters, real cores, coordinator round-trips over pipes.  Run
+  wherever spawn works (:func:`repro.shard.process_backend_available`).
 
 Two claims:
 
@@ -20,17 +18,16 @@ Two claims:
   random seeds).
 * **Wall-clock** — on a multi-core host (4+ CPUs) the scaled arm (a
   2000-site switched fabric, 50k couriers) runs at higher real
-  events/second on ``process`` (or ``thread``) than ``inproc`` at 4+
-  shards.  On single-core hosts the assertion is skipped and the summary
+  events/second on ``process`` than ``inproc`` at 4+ shards.  On single-core hosts the assertion is skipped and the summary
   says so — coordination cost without parallel hardware is the honest
   result, not a failure.
 
 Per-round coordination overhead (round wall-time minus the slowest burst:
-pool hops, inbox drains, worker round-trips) is broken out per arm, and
+worker round-trips) is broken out per arm, and
 every number lands in ``benchmarks/results/e15_parallel.json``.
 
-Run with ``--smoke`` for the CI sanity pass (tiny populations, inproc +
-thread at 2 shards, no wall-clock floor).
+Run with ``--smoke`` for the CI sanity pass (tiny populations at 2 shards,
+no wall-clock floor).
 """
 
 from __future__ import annotations
@@ -61,11 +58,8 @@ SMOKE_SCALED = dict(n_sites=80, n_agents=400, wave_size=100,
                     topology="fabric", hosts_per_switch=20)
 
 
-def _backends(smoke: bool) -> List[str]:
-    backends = ["inproc", "thread"]
-    if not smoke and process_backend_available():
-        backends.append("process")
-    return backends
+def _backends() -> List[str]:
+    return ["inproc", "process"] if process_backend_available() else ["inproc"]
 
 
 def _shard_counts(smoke: bool) -> Tuple[int, ...]:
@@ -82,13 +76,13 @@ def parallel_sweep(smoke):
     """
     arms: Dict[Tuple[str, str, int], object] = {}
     base = dict(SMOKE_BASE if smoke else FULL_BASE)
-    for backend in _backends(smoke):
+    for backend in _backends():
         for shards in _shard_counts(smoke):
             arms["base", backend, shards] = run_sharded_churn(
                 ShardedChurnParams(shards=shards, backend=backend, **base))
     scaled = dict(SMOKE_SCALED if smoke else FULL_SCALED)
     scaled_shards = 2 if smoke else SCALED_SHARDS
-    for backend in _backends(smoke):
+    for backend in _backends():
         arms["scaled", backend, scaled_shards] = run_sharded_churn(
             ShardedChurnParams(shards=scaled_shards, backend=backend,
                                **scaled))
@@ -98,7 +92,7 @@ def parallel_sweep(smoke):
 def test_e15_parallel_backends(parallel_sweep, smoke, emit_report,
                                results_dir):
     cpus = os.cpu_count() or 1
-    backends = _backends(smoke)
+    backends = _backends()
     scaled_shards = 2 if smoke else SCALED_SHARDS
     population = dict(SMOKE_BASE if smoke else FULL_BASE)
     scaled_pop = dict(SMOKE_SCALED if smoke else FULL_SCALED)
@@ -127,8 +121,7 @@ def test_e15_parallel_backends(parallel_sweep, smoke, emit_report,
                    "of an (arm, shards) cell: the backend changes where "
                    "bursts execute, never what the simulation does")
     table.add_note("'overhead s' is per-round coordination: round wall-time "
-                   "minus the slowest burst (pool hops, inbox drains, worker "
-                   "round-trips)")
+                   "minus the slowest burst (worker round-trips)")
     if cpus < MIN_CPUS_FOR_SPEEDUP:
         table.add_note(f"host has {cpus} CPU(s): the wall-clock speedup "
                        f"floor needs >= {MIN_CPUS_FOR_SPEEDUP} cores and is "
@@ -186,17 +179,17 @@ def test_e15_parallel_backends(parallel_sweep, smoke, emit_report,
     print(f"E15-SUMMARY | cpus={cpus} backends={'/'.join(backends)} | "
           f"scaled@{scaled_shards}shards wall-speedup(best parallel vs "
           f"inproc)={speedup:.2f}x | asserted="
-          f"{not smoke and cpus >= MIN_CPUS_FOR_SPEEDUP}")
-    if not smoke and cpus >= MIN_CPUS_FOR_SPEEDUP:
+          f"{not smoke and cpus >= MIN_CPUS_FOR_SPEEDUP and len(backends) > 1}")
+    if not smoke and cpus >= MIN_CPUS_FOR_SPEEDUP and len(backends) > 1:
         assert speedup > 1.0, (
             f"no parallel backend beat inproc on the scaled arm at "
             f"{scaled_shards} shards on a {cpus}-CPU host "
             f"({speedup:.2f}x)")
 
 
-def test_e15_timed_thread_backend(benchmark, smoke):
-    """pytest-benchmark guard on the thread backend's coordination cost."""
+def test_e15_timed_inproc_backend(benchmark, smoke):
+    """pytest-benchmark guard on the sharded round loop's coordination cost."""
     base = dict(SMOKE_BASE)
     outcome = benchmark(lambda: run_sharded_churn(
-        ShardedChurnParams(shards=4, backend="thread", **base)))
+        ShardedChurnParams(shards=4, backend="inproc", **base)))
     assert outcome.agents_completed == outcome.agents_launched

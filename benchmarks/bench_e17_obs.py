@@ -18,7 +18,7 @@ Two claims:
   timeline (launch -> per-hop execution -> checkpoint barrier wait ->
   migration -> guard releases -> delivery) reconstructs from one JSONL
   file via :mod:`repro.obs.report`, and the span tree is identical under
-  the inproc / thread (and, where available, process) shard backends.
+  the inproc and (where spawn works) process shard backends.
 
 Every number lands in ``benchmarks/results/e17_obs.json``; the FT trace
 dump itself is kept as ``benchmarks/results/e17_trace.jsonl`` (the CI
@@ -174,9 +174,7 @@ def test_e17_observability(overhead_arms, smoke, emit_report, results_dir):
         return {tid: tuple(root.tree_shape() for root in roots)
                 for tid, roots in trees.items()}
 
-    backends = ["thread"]
-    if not smoke and process_backend_available():
-        backends.append("process")
+    backends = ["process"] if process_backend_available() else []
     reference = tree_shapes(_run_ft_trace("inproc",
                                           durable_checkpoints=False))
     for backend in backends:
@@ -195,7 +193,7 @@ def test_e17_observability(overhead_arms, smoke, emit_report, results_dir):
                    f"{names.count('ft-release')}")
     table2.add_row("wal-commit infra spans",
                    sum(1 for span in infra if span["name"] == "wal-commit"))
-    table2.add_row("identical span trees on", "inproc/" + "/".join(backends))
+    table2.add_row("identical span trees on", "/".join(["inproc"] + backends))
     emit_report(report)
 
     payload = {

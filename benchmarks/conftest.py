@@ -1,6 +1,6 @@
 """Shared fixtures for the experiment benchmarks.
 
-Every benchmark module regenerates one experiment of EXPERIMENTS.md: it
+Every benchmark module regenerates one experiment (its tables): it
 builds the experiment's table(s) once per session (the sweep is the
 expensive part), prints them (visible with ``-s``), saves them under
 ``benchmarks/results/``, and lets pytest-benchmark time one representative

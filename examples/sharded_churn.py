@@ -9,9 +9,9 @@ conservative clock sync — lookahead derived from the topology's link
 latencies — advances every shard only as far as its neighbours cannot
 affect, and the mail router hands cross-shard folders over at send time.
 ``KernelConfig(shard_backend=...)`` chooses how the per-round shard
-bursts execute: serially (``"inproc"``), on a thread pool
-(``"thread"``, used below), or on spawned worker processes
-(``"process"``).
+bursts execute: serially (``"inproc"``, used below) or on spawned worker
+processes (``"process"``, which needs behaviours registered in an
+importable module — the ones below live in this script).
 
 The example runs a churn of courier agents whose report destinations sit
 on *other* shards, then shows the two properties that matter:
@@ -79,12 +79,11 @@ def build_and_run(shards: int, backend: str = "inproc") -> Kernel:
 
 def main() -> None:
     # shard_backend picks how the per-round shard bursts execute:
-    # "inproc" (serial, bit-identical reference), "thread" (persistent
-    # pool + locked handoff inboxes), or "process" (spawned workers).
-    # The kernel is a context manager; exiting the block tears down the
-    # shard engines (worker threads/processes) via Kernel.close().
-    with build_and_run(shards=SHARDS, backend="thread") as sharded:
-        print(f"{len(SITES)} sites on {SHARDS} shards (thread backend), "
+    # "inproc" (serial, bit-identical reference) or "process" (spawned
+    # workers).  The kernel is a context manager; exiting the block tears
+    # down the shard engines (worker processes) via Kernel.close().
+    with build_and_run(shards=SHARDS, backend="inproc") as sharded:
+        print(f"{len(SITES)} sites on {SHARDS} shards (inproc backend), "
               f"{N_COURIERS} couriers, "
               f"every report crossing a rack (= shard) boundary\n")
 
@@ -102,7 +101,7 @@ def main() -> None:
         summary = sharded.shard_summary()
         print(f"  shard_summary: backend={summary['backend']}, "
               f"rounds={summary['rounds']}, "
-              f"handoffs_drained={summary['handoffs_drained']}\n")
+              f"clock_rebuilds={summary['clock_rebuilds']}\n")
         sharded_counters = sharded.counters()
 
     with build_and_run(shards=1) as classic:

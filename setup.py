@@ -1,9 +1,9 @@
-"""Setuptools shim.
+"""Setuptools metadata for the ``repro`` package (the only build file).
 
-The canonical metadata lives in pyproject.toml; this file exists so that
 ``pip install -e . --no-use-pep517`` (and plain ``python setup.py develop``)
-work in offline environments that lack the ``wheel`` package required by
-PEP 517 editable builds.
+install it even in offline environments that lack the ``wheel`` package
+required by PEP 517 editable builds.  Running from a checkout needs no
+install at all: set ``PYTHONPATH=src``.
 """
 
 from setuptools import find_packages, setup

@@ -1,7 +1,7 @@
 """Shared benchmark harness: metrics, tables, and the reusable workloads.
 
 Every benchmark under ``benchmarks/`` builds its rows from these helpers so
-that EXPERIMENTS.md and the benchmark output stay in the same format.
+that all experiment tables share one format.
 """
 
 from repro.bench.baselines import (DATA_SERVER_NAME, DATA_SINK_NAME, PULL_CABINET,

@@ -1,11 +1,10 @@
-"""Plain-text experiment tables, printed the way EXPERIMENTS.md records them.
+"""Plain-text experiment tables, as the experiment benchmarks print them.
 
-The paper has no numeric tables of its own (it is a position paper), so the
-reproduction defines its experiment tables in EXPERIMENTS.md and every
-benchmark regenerates one of them through this tiny reporter: fixed-width
-columns, one row per parameter point, printed to stdout so
-``pytest benchmarks/ --benchmark-only -s`` shows the same rows the document
-quotes.
+The paper has no numeric tables of its own (it is a position paper), so
+each benchmark under ``benchmarks/`` defines its experiment's tables and
+renders them through this tiny reporter: fixed-width columns, one row per
+parameter point, printed to stdout (``pytest benchmarks/ -s``) and saved
+under ``benchmarks/results/``.
 """
 
 from __future__ import annotations

@@ -906,7 +906,7 @@ class ShardedChurnParams:
     shards: Optional[int] = None
     transport: str = "tcp"
     seed: int = 41
-    #: shard execution backend ("inproc", "thread", "process"); inert when
+    #: shard execution backend ("inproc" or "process"); inert when
     #: ``shards`` is None (E15 sweeps this, E14 keeps the inproc default)
     backend: str = "inproc"
     #: "lan" (full mesh — quadratic edges, fine to ~200 sites) or "fabric"

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import ChainMap, deque
+from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
@@ -39,7 +39,7 @@ from repro.core.codec import (code_element_copy, code_element_of, pack_briefcase
 from repro.core.context import AgentContext
 from repro.core.errors import (KernelError, MeetError, SyscallError, UnknownAgentError,
                                UnknownSiteError)
-from repro.core.lifecycle import AgentTable, MergedAgentTable, RetentionPolicy
+from repro.core.lifecycle import AgentTable, RetentionPolicy
 from repro.core.registry import BehaviourRegistry, default_registry
 from repro.core.site import Site
 from repro.core.syscalls import EndMeet, Meet, MeetResult, Sleep, Spawn, Syscall, Terminate, Transmit
@@ -48,12 +48,12 @@ from repro.net.horus import HorusTransport
 from repro.net.message import Message, MessageKind
 from repro.net.rsh import RshTransport
 from repro.net.simclock import EventLoop
-from repro.net.stats import NetworkStats, StatsView
+from repro.net.stats import NetworkStats
 from repro.net.tcp import TcpTransport
 from repro.net.topology import Topology, lan
 from repro.net.transport import Transport
 from repro.obs import (TRACE_ID_FOLDER, TRACE_PARENT_FOLDER, MetricsRegistry,
-                       MetricsView, Tracer, TracerView, infra_trace_id)
+                       Tracer, infra_trace_id)
 from repro.store.policy import DurabilityPolicy, StoreCosts, resolve_policy
 from repro.store.sitestore import SiteStore
 
@@ -208,17 +208,17 @@ class KernelConfig:
     #: the base snapshot images
     store_snapshot_threshold: int = 256
     #: number of shards the simulation is partitioned into.  1 (default)
-    #: runs the classic single event loop; with N > 1 the kernel becomes a
-    #: facade over N shard engines advanced under conservative clock sync
-    #: (see :mod:`repro.shard`)
+    #: runs the classic single event loop; with N > 1 ``Kernel(...)``
+    #: builds a :class:`~repro.shard.facade.ShardedKernel` over N shard
+    #: engines advanced under conservative clock sync (see :mod:`repro.shard`)
     shards: int = 1
     #: explicit site -> shard id placement overrides; sites not listed are
     #: placed by a stable CRC-32 hash of their name
     shard_placement: Optional[Dict[str, int]] = None
     #: where each synchronisation round's shard bursts execute: "inproc"
-    #: (serial, the default), "thread" (a persistent pool, one worker per
-    #: shard), or "process" (long-lived spawn workers — real multi-core
-    #: parallelism; see :mod:`repro.shard.backend`).  Inert at shards=1.
+    #: (serial, the default) or "process" (long-lived spawn workers — real
+    #: multi-core parallelism; see :mod:`repro.shard.backend`).  Inert at
+    #: shards=1.
     shard_backend: str = "inproc"
     #: execution backend of the event loop itself: "sim" (the default —
     #: the deterministic discrete-event EventLoop/SimClock pair, time
@@ -274,6 +274,22 @@ class Kernel:
         ``config.retention`` when given (see :mod:`repro.core.lifecycle`).
     """
 
+    #: the ShardSet coordinator of a sharded kernel; None on the classic
+    #: kernel and on the per-shard engines
+    shard_set = None
+
+    def __new__(cls, topology: Optional[Topology] = None,
+                transport: Union[str, Transport, type] = "tcp",
+                config: Optional[KernelConfig] = None, *args, _shard_ctx=None,
+                **kwargs):
+        # Kernel(...) stays the one constructor: with shards > 1 it builds
+        # the sharded facade, whose __init__ Python then runs instead.
+        if (cls is Kernel and _shard_ctx is None and config is not None
+                and config.shards > 1):
+            from repro.shard.facade import ShardedKernel
+            cls = ShardedKernel
+        return super().__new__(cls)
+
     def __init__(self, topology: Optional[Topology] = None,
                  transport: Union[str, Transport, type] = "tcp",
                  config: Optional[KernelConfig] = None,
@@ -282,51 +298,9 @@ class Kernel:
                  retention: Union[str, RetentionPolicy, None] = None,
                  _shard_ctx=None):
         self.config = config or KernelConfig()
-        if self.config.shards < 1:
-            raise KernelError(f"shards must be >= 1, got {self.config.shards}")
-        from repro.shard.backend import BACKENDS
-        if self.config.shard_backend not in BACKENDS:
-            raise KernelError(
-                f"unknown shard_backend {self.config.shard_backend!r}; "
-                f"expected one of {BACKENDS}")
-        if self.config.backend not in ("sim", "realtime"):
-            raise KernelError(
-                f"unknown backend {self.config.backend!r}; "
-                "expected 'sim' or 'realtime'")
-        if self.config.backend == "realtime":
-            if self.config.shards != 1:
-                raise KernelError(
-                    "backend='realtime' requires shards=1: the realtime "
-                    "scheduler drives a single wall-clock event loop "
-                    "(shard the sim backend instead, or run one realtime "
-                    "kernel per host)")
-            if self.config.shard_backend == "process":
-                raise KernelError(
-                    "backend='realtime' cannot use shard_backend='process': "
-                    "spawned shard workers and the wall-clock scheduler "
-                    "are mutually exclusive (keep the default 'inproc')")
-        elif self.config.store_realtime_dir is not None:
-            raise KernelError(
-                "store_realtime_dir requires backend='realtime': the sim "
-                "backend keeps the WAL purely logical (priced, not paid)")
-        if not 0.0 <= self.config.obs_sample <= 1.0:
-            raise KernelError(f"obs_sample must be in [0.0, 1.0], got "
-                              f"{self.config.obs_sample}")
-        if self.config.obs_ring < 1:
-            raise KernelError(f"obs_ring must be >= 1, got "
-                              f"{self.config.obs_ring}")
-        if self.config.event_log_max < 0:
-            raise KernelError(f"event_log_max must be >= 0 (0 = unbounded), "
-                              f"got {self.config.event_log_max}")
-        #: the ShardSet when this kernel is a sharded facade; None for the
-        #: classic single-loop kernel and for the per-shard engines
-        self._shards = None
+        self._check_config()
         #: this engine's ShardContext when it is one shard of a facade
         self._shard_ctx = _shard_ctx
-        if self.config.shards > 1 and _shard_ctx is None:
-            self._init_facade(topology, transport, install_system_agents,
-                              registry, retention)
-            return
         self.topology = topology if topology is not None else lan(["alpha", "beta", "gamma"])
         self.loop = self._make_loop()
         self.stats = NetworkStats()
@@ -470,196 +444,71 @@ class Kernel:
     # construction helpers
     # ------------------------------------------------------------------
 
-    def _init_facade(self, topology, transport, install_system_agents,
-                     registry, retention) -> None:
-        """Build a sharded kernel: N engine kernels behind this facade.
-
-        Sites are partitioned by the placement map, each shard gets its own
-        event loop / transport / ledgers, and the facade re-exposes the
-        classic surface through merged views (``stats``, ``table``,
-        ``sites``) plus method delegation — callers never see shards unless
-        they ask (``kernel.shard_set``).
-        """
-        from repro.shard import (ClockSync, MailRouter, Shard, ShardContext,
-                                 ShardSet, make_backend, resolve_placement)
-        if isinstance(transport, Transport):
+    def _check_config(self) -> None:
+        """Reject configurations no kernel (classic, facade or engine) can run."""
+        if self.config.shards < 1:
+            raise KernelError(f"shards must be >= 1, got {self.config.shards}")
+        from repro.shard.backend import BACKENDS
+        if self.config.shard_backend not in BACKENDS:
             raise KernelError(
-                "a sharded kernel builds one transport per shard; pass a "
-                "transport name or class, not a constructed instance")
-        self.topology = topology if topology is not None else lan(["alpha", "beta", "gamma"])
-        self.registry = registry or default_registry()
-        backend_name = self.config.shard_backend
-        placement = resolve_placement(self.topology.sites(), self.config.shards,
-                                      self.config.shard_placement)
-        router = MailRouter(placement,
-                            inbox_handoffs=(backend_name == "thread"))
-        if backend_name == "process":
-            engines, backend = self._spawn_process_engines(
-                transport, install_system_agents, retention, placement, router)
-        else:
-            engines = []
-            for shard_id in range(self.config.shards):
-                owned = frozenset(name for name, owner in placement.items()
-                                  if owner == shard_id)
-                engines.append(Kernel(
-                    topology=self.topology, transport=transport,
-                    config=self.config,
-                    install_system_agents=install_system_agents,
-                    registry=self.registry, retention=retention,
-                    _shard_ctx=ShardContext(shard_id, owned, router)))
-            backend = make_backend(backend_name, router, self.config.shards)
-        router.attach_engines(engines)
-        clock_sync = ClockSync(self.topology, router.placement,
-                               shards=self.config.shards,
-                               flow_bonus=self.config.flow_window_min)
-        router.clock_sync = clock_sync
-        if backend.distributed:
-            backend.clock_sync = clock_sync
-        self._engines = engines
-        self._router = router
-        self._clock_sync = clock_sync
-        self._backend = backend
-        self._shards = ShardSet([Shard(shard_id, engine)
-                                 for shard_id, engine in enumerate(engines)],
-                                clock_sync, backend=backend)
-
-        # The merged facade surface: one API over N shards.
-        self.stats = StatsView([engine.stats for engine in engines])
-        #: the facade's own tracer (sync-round spans ride the ShardSet
-        #: clock); every engine span is merged in through the TracerView
-        facade_tracer = (Tracer(clock=self._shards,
-                                sample=self.config.obs_sample)
-                         if self.config.obs_enabled else None)
-        self.obs = TracerView([engine.obs for engine in engines],
-                              own=facade_tracer)
-        self._shards.obs = facade_tracer
-        self.metrics = MetricsView([engine.metrics for engine in engines])
-        self.metrics.register("net", self.stats.snapshot)
-        self.table = MergedAgentTable([engine.table for engine in engines])
-        self.sites = ChainMap(*[engine.sites for engine in engines])
-        self.stores = ChainMap(*[engine.stores for engine in engines])
-        self.durability = engines[0].durability
-        #: shard 0 anchors the pieces that need a single identity: failure
-        #: schedules ride its clock, log_event stamps it, and code that
-        #: introspects ``kernel.transport`` sees its transport
-        self.loop = engines[0].loop
-        self.transport = engines[0].transport
-        self.rng = engines[0].rng
-        self._install_system_agents = install_system_agents
-
-    def _spawn_process_engines(self, transport, install_system_agents,
-                               retention, placement, router):
-        """Build the process backend: one spawn worker per shard.
-
-        The facade keeps :class:`ProcessEngineProxy` objects where the
-        in-process backends keep engine kernels; the merged views and the
-        delegation methods work over either because the proxies present
-        the same surface (served from worker state digests).
-        """
-        import pickle
-
-        from repro.core.registry import default_registry as _default_registry
-        from repro.shard.procworker import (ProcessBackend, WorkerSpec,
-                                            preload_module_names)
-        if self.registry is not _default_registry():
+                f"unknown shard_backend {self.config.shard_backend!r}; "
+                f"expected one of {BACKENDS}")
+        if self.config.backend not in ("sim", "realtime"):
             raise KernelError(
-                "shard_backend='process' rebuilds behaviours from the "
-                "process-wide default registry in each worker; a custom "
-                "registry instance cannot cross the process boundary (use "
-                "shard_backend='thread' or register behaviours in the "
-                "default registry)")
-        try:
-            pickle.dumps((self.config, retention, transport, self.topology))
-        except Exception as error:
+                f"unknown backend {self.config.backend!r}; "
+                "expected 'sim' or 'realtime'")
+        if self.config.backend == "realtime":
+            if self.config.shards != 1:
+                raise KernelError(
+                    "backend='realtime' requires shards=1: the realtime "
+                    "scheduler drives a single wall-clock event loop "
+                    "(shard the sim backend instead, or run one realtime "
+                    "kernel per host)")
+            if self.config.shard_backend == "process":
+                raise KernelError(
+                    "backend='realtime' cannot use shard_backend='process': "
+                    "spawned shard workers and the wall-clock scheduler "
+                    "are mutually exclusive (keep the default 'inproc')")
+        elif self.config.store_realtime_dir is not None:
             raise KernelError(
-                "shard_backend='process' ships the topology, config and "
-                f"transport to spawn workers, but pickling failed: {error} "
-                "(pass the transport by name, keep LinkSpec-based "
-                "topologies, and avoid closures in the config)") from None
-        transport_name = (transport if isinstance(transport, str)
-                          else getattr(transport, "name", transport.__name__))
-        preload = preload_module_names(self.registry)
-        specs = []
-        for shard_id in range(self.config.shards):
-            owned = frozenset(name for name, owner in placement.items()
-                              if owner == shard_id)
-            specs.append(WorkerSpec(
-                shard_id=shard_id, topology=self.topology,
-                transport=transport, config=self.config,
-                install_system_agents=install_system_agents,
-                retention=retention, owned=owned, placement=placement,
-                preload_modules=preload))
-        backend = ProcessBackend(specs, transport_name)
-        # Share the live placement map so late-joining sites (add_site)
-        # route correctly without re-plumbing the backend.
-        backend.placement = router.placement
-        return backend.proxies, backend
-
-    def __getattr__(self, name: str):
-        # Only ever reached for attributes missing from __dict__ — i.e. on
-        # the sharded facade, which does not carry the engine-level ledger
-        # attributes.  Classic kernels and shard engines always have the
-        # real attributes, so this costs them nothing.
-        shards = self.__dict__.get("_shards")
-        if shards is not None:
-            engines = self.__dict__["_engines"]
-            if name in ("meets", "transmits", "arrivals", "undeliverable"):
-                return sum(getattr(engine, name) for engine in engines)
-            if name == "event_log":
-                merged = []
-                for engine in engines:
-                    merged.extend(engine.event_log)
-                merged.sort(key=lambda entry: entry[0])
-                return merged
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}")
-
-    @property
-    def shard_set(self):
-        """The ShardSet coordinator, or None on a classic kernel."""
-        return self._shards
+                "store_realtime_dir requires backend='realtime': the sim "
+                "backend keeps the WAL purely logical (priced, not paid)")
+        if not 0.0 <= self.config.obs_sample <= 1.0:
+            raise KernelError(f"obs_sample must be in [0.0, 1.0], got "
+                              f"{self.config.obs_sample}")
+        if self.config.obs_ring < 1:
+            raise KernelError(f"obs_ring must be >= 1, got "
+                              f"{self.config.obs_ring}")
+        if self.config.event_log_max < 0:
+            raise KernelError(f"event_log_max must be >= 0 (0 = unbounded), "
+                              f"got {self.config.event_log_max}")
 
     def shard_summary(self) -> Dict[str, Any]:
         """Cross-shard coordination ledger (what the E15 report prints).
 
-        Works on any kernel: a classic single-loop kernel reports
-        ``shards=1, backend=None`` with all-zero handoff counters, so
-        benchmark code can print it unconditionally.
+        A classic kernel reports ``shards=1, backend=None`` with all-zero
+        handoff counters, so benchmark code can print it unconditionally;
+        the sharded facade adds its round and clock-sync telemetry.
         """
         stats = self.stats
-        summary: Dict[str, Any] = {
-            "shards": self.config.shards if self._shards is not None else 1,
-            "backend": self._backend.name if self._shards is not None else None,
+        return {
+            "shards": 1,
+            "backend": None,
             "shard_handoffs": stats.shard_handoffs,
             "shard_handoff_bytes": stats.shard_handoff_bytes,
             "shard_late_arrivals": stats.shard_late_arrivals,
         }
-        if self._shards is not None:
-            summary["rounds"] = self._shards.rounds
-            summary["sync_seconds"] = self._shards.sync_seconds
-            summary["overhead_seconds"] = self._shards.overhead_seconds
-            summary["handoffs_drained"] = self._shards.handoffs_drained
-            summary["clock_rebuilds"] = self._clock_sync.rebuilds
-        return summary
 
     def close(self) -> None:
         """Release held resources: shard workers, WAL sinks, asyncio loops.
 
         Idempotent — call it unconditionally when done with a kernel (or
-        use the kernel as a context manager, which calls it on exit).  On
-        a sharded facade it shuts the backend's worker threads/processes
-        down; on a classic kernel it closes every site store's WAL sink
-        and, under ``backend="realtime"``, the owned asyncio loop.  A
-        closed realtime kernel (and a process-backend facade whose
-        workers are gone) cannot run further; in-process shard backends
-        rebuild their pool lazily if run again.
+        use the kernel as a context manager, which calls it on exit).  A
+        classic kernel closes every site store's WAL sink and, under
+        ``backend="realtime"``, the owned asyncio loop; a closed realtime
+        kernel cannot run further.  The sharded facade shuts its backend
+        down instead.
         """
-        if self._shards is not None:
-            if self.config.obs_enabled and self.config.obs_path is not None:
-                # Engines ring-buffer their spans; the facade owns the file.
-                self.dump_trace(self.config.obs_path)
-            self._shards.close()
-            return
         for store in self.stores.values():
             store.close()
         self.obs.close()
@@ -672,13 +521,6 @@ class Kernel:
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         self.close()
-
-    def _engine_for(self, site_name: str) -> "Kernel":
-        """The shard engine owning *site_name* (facade only)."""
-        owner = self._router.placement.get(site_name)
-        if owner is None:
-            raise UnknownSiteError(f"unknown site {site_name!r}")
-        return self._engines[owner]
 
     def _make_loop(self) -> EventLoop:
         """Build the event loop the configured backend runs on.
@@ -792,24 +634,9 @@ class Kernel:
         enumerated the sites at install time (e.g. the Horus guard group)
         can wire the newcomer in.
         """
-        if self._shards is not None:
-            return self._add_site_sharded(name, links, install_system_agents)
         if name in self.sites:
             raise KernelError(f"site {name!r} already exists")
-        resolved_links = [link if isinstance(link, tuple) else (link, None)
-                          for link in links]
-        for peer, _ in resolved_links:
-            # Validate before touching the topology: a bad entry must not
-            # leave a half-registered node behind.  Checked against the
-            # topology (not the local site dict) because a shard engine
-            # hosts only its own sites but may link to any site.
-            if not self.topology.has_site(peer):
-                raise UnknownSiteError(f"cannot link new site {name!r} to "
-                                       f"unknown site {peer!r}")
-        if not self.topology.has_site(name):
-            self.topology.add_site(name)
-        for peer, spec in resolved_links:
-            self.topology.add_link(name, peer, spec)
+        self._join_topology(name, links)
         site = Site(name)
         self.sites[name] = site
         self.transport.register_endpoint(name, self._make_site_handler(name))
@@ -827,43 +654,14 @@ class Kernel:
             hook(name)
         return site
 
-    def _add_site_sharded(self, name: str, links: Sequence,
-                          install_system_agents: Optional[bool]) -> Site:
-        """Facade add_site: place the newcomer, delegate to its owner."""
-        if self._router.placement.get(name) is not None:
-            raise KernelError(f"site {name!r} already exists")
-        overrides = self.config.shard_placement or {}
-        owner = overrides.get(name)
-        if owner is None:
-            from repro.shard import default_shard_of
-            owner = default_shard_of(name, self.config.shards)
-        owner = int(owner)
-        if not 0 <= owner < self.config.shards:
-            raise KernelError(f"shard_placement[{name!r}] = {owner} is "
-                              f"outside [0, {self.config.shards})")
-        if self._backend.distributed:
-            return self._add_site_distributed(name, links,
-                                              install_system_agents, owner)
-        self._router.assign(name, owner)
-        try:
-            site = self._engines[owner].add_site(
-                name, links=links, install_system_agents=install_system_agents)
-        except Exception:
-            self._router.unassign(name)
-            raise
-        self._clock_sync.invalidate()
-        return site
+    def _join_topology(self, name: str, links: Sequence) -> List[tuple]:
+        """Add *name* and its *links* (peer names or ``(peer, LinkSpec)``
+        pairs) to the topology; returns the links as pairs.
 
-    def _add_site_distributed(self, name: str, links: Sequence,
-                              install_system_agents: Optional[bool],
-                              owner: int):
-        """Process-backend add_site: every worker's topology must learn it.
-
-        The owning worker runs the full engine ``add_site`` (site object,
-        endpoint, stores, system agents); the others only mirror the
-        placement and the new topology edges so their routing and any
-        relayed traffic see the newcomer.  The facade keeps its own
-        topology copy current for ClockSync and queries.
+        Peers are validated against the topology first, so a bad entry
+        leaves no half-registered node behind.  Re-adding a known site or
+        link changes nothing, so engines sharing one topology may each
+        apply the same join.
         """
         resolved = [link if isinstance(link, tuple) else (link, None)
                     for link in links]
@@ -871,35 +669,22 @@ class Kernel:
             if not self.topology.has_site(peer):
                 raise UnknownSiteError(f"cannot link new site {name!r} to "
                                        f"unknown site {peer!r}")
-        self._router.assign(name, owner)
-        try:
-            site = self._engines[owner].add_site(
-                name, links=list(links),
-                install_system_agents=install_system_agents, owner=owner)
-        except Exception:
-            self._router.unassign(name)
-            raise
         if not self.topology.has_site(name):
             self.topology.add_site(name)
         for peer, spec in resolved:
             self.topology.add_link(name, peer, spec)
-        for shard_id, engine in enumerate(self._engines):
-            if shard_id != owner:
-                engine.site_assigned(name, resolved, owner)
-        self._clock_sync.invalidate()
-        # No facade-side log_event: the owning worker's add_site already
-        # logged "site added" and the digest merges it in.
-        return site
+        return resolved
+
+    def site_assigned(self, name: str, links: Sequence, owner: int) -> None:
+        """Shard engine: *name* joined on shard *owner*; learn its placement
+        and topology edges so routing and relayed traffic see it."""
+        router = self._shard_ctx.router
+        router.assign(name, owner)
+        self._join_topology(name, links)
+        router.clock_sync_invalidate()
 
     def on_site_added(self, callback: Callable[[str], None]) -> None:
         """Subscribe *callback* to late site registrations (see :meth:`add_site`)."""
-        if self._shards is not None:
-            # Each engine fires for the sites it hosts; subscribing the
-            # callback everywhere keeps the facade's contract: one call per
-            # added site, whichever shard it landed on.
-            for engine in self._engines:
-                engine.on_site_added(callback)
-            return
         self._site_added_hooks.append(callback)
 
     def on_site_recovered(self, callback: Callable[[str], None]) -> None:
@@ -910,10 +695,6 @@ class Kernel:
         instant-recovery path otherwise.  Checkpoint revival
         (:mod:`repro.fault.recovery`) is the canonical subscriber.
         """
-        if self._shards is not None:
-            for engine in self._engines:
-                engine.on_site_recovered(callback)
-            return
         self._site_recovered_hooks.append(callback)
 
     # ------------------------------------------------------------------
@@ -934,18 +715,6 @@ class Kernel:
         durability is off.
         """
         targets = list(sites) if sites is not None else self.site_names()
-        if self._shards is not None and self._backend.distributed:
-            # The stores live in worker processes: group the targets by
-            # owning shard and opt in with one RPC per worker.
-            by_owner: Dict[int, List[str]] = {}
-            for site_name in targets:
-                owner = self._router.placement.get(site_name)
-                if owner is None:
-                    raise UnknownSiteError(f"unknown site {site_name!r}")
-                by_owner.setdefault(owner, []).append(site_name)
-            return sum(
-                self._engines[owner].make_durable(cabinet_name, sites=names)
-                for owner, names in by_owner.items())
         opted = 0
         for site_name in targets:
             store = self.store(site_name)
@@ -1063,18 +832,6 @@ class Kernel:
     def install_agent(self, site_name: Optional[str], name: str, behaviour: Callable,
                       system: bool = False, replace: bool = False) -> None:
         """Install a named agent at one site (or every site when *site_name* is None)."""
-        if self._shards is not None:
-            # Delegate to the owning engine(s) instead of poking Site
-            # objects from here: on the process backend sites live in
-            # worker processes and installation must cross as an RPC.
-            if site_name is not None:
-                self._engine_for(site_name).install_agent(
-                    site_name, name, behaviour, system=system, replace=replace)
-            else:
-                for engine in self._engines:
-                    engine.install_agent(None, name, behaviour,
-                                         system=system, replace=replace)
-            return
         targets = [self.site(site_name)] if site_name is not None else list(self.sites.values())
         for site in targets:
             site.install(name, behaviour, system=system, replace=replace)
@@ -1118,10 +875,6 @@ class Kernel:
         if delay < 0:
             raise KernelError(f"cannot schedule agent starts {delay} seconds "
                               f"in the past")
-        if self._shards is not None:
-            return self._engine_for(site_name).launch(
-                site_name, behaviour, briefcase, name=name, system=system,
-                delay=delay)
         site = self.site(site_name)
         resolved, resolved_system = self._resolve_behaviour(site, behaviour)
         spec = AgentSpec(
@@ -1154,8 +907,6 @@ class Kernel:
         if delay < 0:
             raise KernelError(f"cannot schedule agent starts {delay} seconds "
                               f"in the past")
-        if self._shards is not None:
-            return self._launch_many_sharded(requests, delay)
         specs: List[tuple] = []
         for request in requests:
             site_name, behaviour = request[0], request[1]
@@ -1181,31 +932,6 @@ class Kernel:
             [(delay, (lambda inst=instance: self._start(inst)),
               f"start-{instance.agent_id}") for instance in instances])
         return [instance.agent_id for instance in instances]
-
-    def _launch_many_sharded(self, requests: Sequence[tuple],
-                             delay: float) -> List[str]:
-        """Facade launch_many: one batched scheduler pass per owning shard.
-
-        Site names are validated up front; ids come back in request order.
-        Atomicity is per shard — a behaviour that fails to resolve aborts
-        its own shard's batch, but batches already handed to other shards
-        stay launched (cross-shard launches are independent by design).
-        """
-        requests = list(requests)
-        owners = [self._engine_for(request[0]) for request in requests]
-        grouped: Dict[int, List[int]] = {}
-        for index, engine in enumerate(owners):
-            grouped.setdefault(id(engine), []).append(index)
-        ids: List[Optional[str]] = [None] * len(requests)
-        for engine in self._engines:
-            indexes = grouped.get(id(engine))
-            if not indexes:
-                continue
-            batch_ids = engine.launch_many([requests[i] for i in indexes],
-                                           delay=delay)
-            for position, index in enumerate(indexes):
-                ids[index] = batch_ids[position]
-        return ids
 
     def _resolve_behaviour(self, site: Site, behaviour: Union[str, Callable]):
         """Resolve a behaviour reference to (callable, is_system)."""
@@ -1273,24 +999,14 @@ class Kernel:
     # ------------------------------------------------------------------
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
-        """Run the event loop (to quiescence, or up to simulated time *until*).
-
-        On a sharded kernel this advances every shard in conservative
-        synchronisation rounds: *until* is honoured globally (no shard's
-        clock passes it) and *max_events* is one global budget shared
-        across shards, not a per-shard allowance.
-        """
-        if self._shards is not None:
-            return self._shards.run(until=until, max_events=max_events)
+        """Run the event loop (to quiescence, or up to simulated time *until*)."""
         if until is None:
             return self.loop.run(max_events=max_events)
         return self.loop.run_until(until, max_events=max_events)
 
     @property
     def now(self) -> float:
-        """Current simulated time (sharded: the slowest shard's clock)."""
-        if self._shards is not None:
-            return self._shards.now
+        """Current simulated time."""
         return self.loop.now
 
     # ------------------------------------------------------------------
@@ -1374,19 +1090,7 @@ class Kernel:
         }
 
     def log_event(self, agent_id: str, site_name: str, message: str) -> None:
-        """Append a line to the kernel event log (agents call this via ctx.log).
-
-        Sharded: the event lands in the log of the shard owning
-        *site_name* — stamped with that shard's clock, next to the rest of
-        that site's history.  Only events about unplaced scopes (``"*"``,
-        facade-level notes) fall back to shard 0.  The facade's
-        ``event_log`` property merges every shard's log in time order.
-        """
-        if self._shards is not None:
-            owner = self._router.placement.get(site_name)
-            engine = self._engines[owner] if owner is not None else self._engines[0]
-            engine.log_event(agent_id, site_name, message)
-            return
+        """Append a line to the kernel event log (agents call this via ctx.log)."""
         self.event_log.append((self.loop.now, agent_id, site_name, message))
 
     # ------------------------------------------------------------------
@@ -1403,20 +1107,6 @@ class Kernel:
         site that is mid-recovery aborts the replay — the durable image is
         unharmed and a later :meth:`recover_site` starts over.
         """
-        if self._shards is not None:
-            owner = self._engine_for(name)
-            owner.crash_site(name)
-            for engine in self._engines:
-                if engine is not owner:
-                    # Non-owning shards drop their pending outboxes to the
-                    # crashed site and forget its flow telemetry, exactly
-                    # as the owning transport does for local traffic.
-                    engine.transport.on_site_down(name)
-            if self._backend.distributed:
-                # Workers mark their own topology copies; keep the
-                # facade's copy (ClockSync, route queries) in step.
-                self.topology.mark_down(name)
-            return
         site = self.site(name)
         if not site.alive:
             store = self.stores.get(name)
@@ -1461,15 +1151,6 @@ class Kernel:
           traffic until the replay completes; only then is the site marked
           up and ``on_site_recovered`` fired.
         """
-        if self._shards is not None:
-            owner = self._engine_for(name)
-            owner.recover_site(name)
-            for engine in self._engines:
-                if engine is not owner:
-                    engine.transport.on_site_up(name)
-            if self._backend.distributed:
-                self.topology.mark_up(name)
-            return
         site = self.site(name)
         if site.alive:
             return
@@ -1522,6 +1203,16 @@ class Kernel:
         for hook in list(self._site_recovered_hooks):
             hook(name)
 
+    def remote_site_down(self, name: str) -> None:
+        """Shard engine: another shard's site *name* crashed.  Drop the
+        pending outboxes to it and forget its flow telemetry, exactly as
+        the owning transport does for local traffic."""
+        self.transport.on_site_down(name)
+
+    def remote_site_up(self, name: str) -> None:
+        """Shard engine: another shard's site *name* recovered."""
+        self.transport.on_site_up(name)
+
     def partition(self, groups: Sequence[Iterable[str]]) -> None:
         """Partition the network into the given site groups.
 
@@ -1532,28 +1223,24 @@ class Kernel:
         than silently surviving the partition.  Same-side outboxes are left
         coalescing undisturbed.
         """
-        self.topology.set_partition(groups)
-        if self._shards is not None:
-            if self._backend.distributed:
-                # Each worker partitions its own topology copy and flushes
-                # its severed outboxes in one RPC.
-                for engine in self._engines:
-                    engine.partition(groups)
-            else:
-                for engine in self._engines:
-                    engine.transport.flush_outboxes(only_unroutable=True,
-                                                    cause="partition")
-        else:
-            self.transport.flush_outboxes(only_unroutable=True, cause="partition")
+        self.apply_partition(groups)
         self.log_event("kernel", "*", f"partition installed: {[list(g) for g in groups]}")
 
     def heal_partition(self) -> None:
         """Heal any active partition."""
-        self.topology.heal_partition()
-        if self._shards is not None and self._backend.distributed:
-            for engine in self._engines:
-                engine.heal_partition()
+        self.apply_heal()
         self.log_event("kernel", "*", "partition healed")
+
+    def apply_partition(self, groups: Sequence[Iterable[str]]) -> None:
+        """Partition this kernel's topology and flush the severed outboxes
+        (:meth:`partition` without the event-log line)."""
+        self.topology.set_partition(groups)
+        self.transport.flush_outboxes(only_unroutable=True, cause="partition")
+
+    def apply_heal(self) -> None:
+        """Heal this kernel's topology (:meth:`heal_partition` without the
+        event-log line)."""
+        self.topology.heal_partition()
 
     # ------------------------------------------------------------------
     # behaviour execution

@@ -123,7 +123,8 @@ def install_horus_guard_detection(kernel, group_name: str = GUARD_GROUP) -> None
     if not isinstance(transport, HorusTransport):
         raise FaultToleranceError(
             "Horus-assisted guard detection needs the 'horus' transport; "
-            f"the kernel is running on {transport.name!r}")
+            f"the kernel is running on "
+            f"{getattr(transport, 'name', 'worker-side transports')!r}")
     installed_groups = getattr(kernel, "_horus_guard_groups", None)
     if installed_groups is None:
         installed_groups = set()

@@ -1,6 +1,6 @@
 """Network and kernel statistics counters.
 
-Every experiment in EXPERIMENTS.md reads its numbers from a
+Every experiment benchmark under ``benchmarks/`` reads its numbers from a
 :class:`NetworkStats` (bytes, messages, hops) or from the kernel's agent
 ledger, so the counters live in one small, well-tested module.
 """
@@ -320,11 +320,8 @@ class NetworkStats:
     def record_shard_late_arrival(self) -> None:
         """Count a handoff clamped into the destination shard's past.
 
-        The direct (in-process) handoff path counts lateness on the origin
-        shard at dispatch time; the queued paths (thread inboxes, process
-        workers) only learn it destination-side at enqueue time and record
-        it there.  Either way each late arrival is counted exactly once, so
-        merged totals agree across backends.
+        The in-process path counts lateness on the origin shard at dispatch
+        time; process workers learn it destination-side and record it there.
         """
         self.shard_late_arrivals += 1
 

@@ -2,8 +2,8 @@
 
 The paper's TACOMA system ran agents across many independent Unix hosts;
 this package lets the reproduction do the same with its simulation.  With
-``KernelConfig(shards=N)`` the :class:`~repro.core.kernel.Kernel` becomes
-a facade over a :class:`ShardSet`: sites are partitioned across N shard
+``KernelConfig(shards=N)``, ``Kernel(...)`` builds a :class:`ShardedKernel`
+facade over a :class:`ShardSet`: sites are partitioned across N shard
 engines (deterministic CRC-32 hash or an explicit placement map), each
 with its own :class:`~repro.net.simclock.EventLoop`, transport and
 ledgers, advanced in conservative synchronisation rounds
@@ -17,27 +17,26 @@ ledgers, advanced in conservative synchronisation rounds
 >>> kernel.run()  # doctest: +SKIP
 
 ``KernelConfig(shard_backend=...)`` selects where each round's bursts
-execute (:mod:`repro.shard.backend`): ``inproc`` (serial, the default),
-``thread`` (a persistent pool, one worker per shard), or ``process``
-(long-lived spawn workers, real multi-core parallelism).  All three are
-property-tested to produce identical simulation results.
+execute (:mod:`repro.shard.backend`): ``inproc`` (serial, the default) or
+``process`` (long-lived spawn workers, real multi-core parallelism).  Both
+are property-tested to produce identical simulation results.
 
 ``shards=1`` (the default) never builds any of this: the kernel runs the
 classic single event loop, behaviourally identical to every prior release.
 """
 
 from repro.shard.backend import (BACKENDS, InprocBackend, ShardBackend,
-                                 ThreadBackend, make_backend,
-                                 process_backend_available)
+                                 make_backend, process_backend_available)
 from repro.shard.clocksync import MIN_LOOKAHEAD, ClockSync
+from repro.shard.facade import ShardedKernel
 from repro.shard.placement import default_shard_of, resolve_placement
 from repro.shard.procworker import ProcessBackend, WorkerSpec
 from repro.shard.router import MailRouter, ShardBoundary, ShardContext
 from repro.shard.shardset import Shard, ShardSet
 
 __all__ = [
-    "BACKENDS", "InprocBackend", "ShardBackend", "ThreadBackend",
-    "make_backend", "process_backend_available",
+    "BACKENDS", "InprocBackend", "ShardBackend",
+    "make_backend", "process_backend_available", "ShardedKernel",
     "ClockSync", "MIN_LOOKAHEAD",
     "MailRouter", "ShardBoundary", "ShardContext",
     "ProcessBackend", "WorkerSpec",

@@ -1,27 +1,12 @@
 """Shard execution backends: where each round's bursts actually run.
 
-PR 6's sharded kernel *modelled* parallel hosts — E14's aggregate
-throughput divided total events by the slowest shard's busy time while
-everything still executed serially on one thread.  The backend seam makes
-the model real: the :class:`~repro.shard.shardset.ShardSet` computes
-horizons and builds a per-round **burst plan** (which shards run, to which
-horizon), and the backend decides where those bursts execute:
+The :class:`~repro.shard.shardset.ShardSet` computes horizons and builds a
+per-round **burst plan** (which shards run, to which horizon), and the
+backend decides where those bursts execute:
 
 ``inproc``
-    Today's serial round loop, bit-identical to PR 6.  The baseline every
-    other backend is property-tested against.
-
-``thread``
-    One persistent worker thread per shard (a ``ThreadPoolExecutor``).
-    Shards share no mutable state during a round: each burst touches only
-    its own engine, and cross-shard handoffs go through the
-    :class:`~repro.shard.router.MailRouter`'s per-owning-shard locked
-    inboxes, drained by the coordinator at the next round start
-    (:meth:`begin_round`).  Conservative horizons — not locks — remain the
-    correctness mechanism; the locks only make the *enqueue* safe.  Under
-    CPython's GIL this parallelises the loop's C-level work (heap ops,
-    pickling) but not pure-Python event callbacks — it is the stepping
-    stone that proves the seam, while ``process`` delivers real cores.
+    The serial round loop: every burst on the coordinator thread.  The
+    baseline the process backend is property-tested against.
 
 ``process``
     One long-lived spawn worker per shard
@@ -38,43 +23,34 @@ what the budget-stop tests pin.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Tuple
 
 from repro.core.errors import KernelError
 from repro.core.timing import default_timer
 
-__all__ = ["BACKENDS", "InprocBackend", "ShardBackend", "ThreadBackend",
-           "make_backend", "process_backend_available"]
+__all__ = ["BACKENDS", "InprocBackend", "ShardBackend", "make_backend",
+           "process_backend_available"]
 
 #: the valid ``KernelConfig.shard_backend`` values
-BACKENDS = ("inproc", "thread", "process")
+BACKENDS = ("inproc", "process")
 
 
 class ShardBackend:
     """Executes one round's per-shard bursts; subclasses pick the substrate.
 
     The coordinator calls, per :meth:`ShardSet.run <repro.shard.shardset.
-    ShardSet.run>` round: :meth:`begin_round` (make queued cross-shard
-    traffic visible to its owners), then :meth:`run_bursts` with the burst
-    plan, plus :meth:`advance_clock` for shards idle this round; once per
-    ``run()`` call it calls :meth:`finish_run` (distributed backends pull
-    state digests here) and, at kernel shutdown, :meth:`close`.
+    ShardSet.run>` round, :meth:`run_bursts` with the burst plan, plus
+    :meth:`advance_clock` for shards idle this round; once per ``run()``
+    call it calls :meth:`finish_run` (the process backend pulls state
+    digests here) and, at kernel shutdown, :meth:`close`.
     """
 
     name = "abstract"
-    #: True when shard engines live out-of-process: the facade must serve
-    #: stats/table/site views from digests instead of direct engine access
-    distributed = False
 
     def __init__(self, timer: Callable[[], float] = default_timer):
         self.timer = timer
 
     # -- per-round hooks --------------------------------------------------------
-
-    def begin_round(self) -> int:
-        """Deliver queued cross-shard handoffs; returns how many moved."""
-        return 0
 
     def run_bursts(self, plans: List[Tuple[object, Optional[float]]],
                    budget: Optional[int]) -> Tuple[int, float]:
@@ -102,110 +78,48 @@ class ShardBackend:
         """Called once when ``ShardSet.run`` returns control to the caller."""
 
     def close(self) -> None:
-        """Release worker threads / processes (idempotent)."""
-
-    # -- shared helpers ---------------------------------------------------------
-
-    def _burst(self, shard, horizon: Optional[float],
-               budget: Optional[int]) -> Tuple[int, float]:
-        loop = shard.engine.loop
-        start = self.timer()
-        if horizon is None:
-            executed = loop.run(max_events=budget)
-        else:
-            executed = loop.run_until(horizon, max_events=budget)
-        elapsed = self.timer() - start
-        shard.busy_seconds += elapsed
-        return executed, elapsed
-
-    def _serial(self, plans, budget: Optional[int]) -> Tuple[int, float]:
-        total = 0
-        busy_max = 0.0
-        for shard, horizon in plans:
-            remaining = None if budget is None else budget - total
-            if remaining is not None and remaining <= 0:
-                break
-            executed, elapsed = self._burst(shard, horizon, remaining)
-            total += executed
-            if elapsed > busy_max:
-                busy_max = elapsed
-        return total, busy_max
+        """Release worker processes (idempotent)."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
 
 class InprocBackend(ShardBackend):
-    """The serial PR 6 round loop: every burst on the coordinator thread."""
+    """The serial round loop: every burst on the coordinator thread."""
 
     name = "inproc"
 
     def run_bursts(self, plans, budget):
-        return self._serial(plans, budget)
-
-
-class ThreadBackend(ShardBackend):
-    """One persistent worker thread per shard.
-
-    The pool is created lazily on the first parallel round and reused for
-    the kernel's lifetime (persistent workers, no per-round thread spawn
-    cost).  Single-shard plans and budgeted runs fall back to the serial
-    path — a budget must be consumed in shard order, and one burst gains
-    nothing from a pool hop.
-    """
-
-    name = "thread"
-
-    def __init__(self, router, n_shards: int,
-                 timer: Callable[[], float] = default_timer):
-        super().__init__(timer)
-        self.router = router
-        self.n_shards = int(n_shards)
-        self._executor: Optional[ThreadPoolExecutor] = None
-
-    def begin_round(self) -> int:
-        return self.router.drain_inboxes()
-
-    def run_bursts(self, plans, budget):
-        if not plans:
-            return 0, 0.0
-        if budget is not None or len(plans) == 1:
-            return self._serial(plans, budget)
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.n_shards,
-                thread_name_prefix="repro-shard")
-        futures = [self._executor.submit(self._burst, shard, horizon, None)
-                   for shard, horizon in plans]
         total = 0
         busy_max = 0.0
-        for future in futures:
-            executed, elapsed = future.result()
+        for shard, horizon in plans:
+            remaining = None if budget is None else budget - total
+            if remaining is not None and remaining <= 0:
+                break
+            loop = shard.engine.loop
+            start = self.timer()
+            if horizon is None:
+                executed = loop.run(max_events=remaining)
+            else:
+                executed = loop.run_until(horizon, max_events=remaining)
+            elapsed = self.timer() - start
+            shard.busy_seconds += elapsed
             total += executed
             if elapsed > busy_max:
                 busy_max = elapsed
         return total, busy_max
 
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
 
-
-def make_backend(name: str, router=None, n_shards: int = 0,
+def make_backend(name: str,
                  timer: Callable[[], float] = default_timer) -> ShardBackend:
     """Resolve a ``KernelConfig.shard_backend`` name to a backend instance.
 
     ``process`` is constructed directly by the kernel facade (it needs the
-    full worker build spec, not just the router); asking for it here names
-    the entry point so the error is actionable.
+    full worker build spec); asking for it here names the entry point so
+    the error is actionable.
     """
     if name == "inproc":
         return InprocBackend(timer)
-    if name == "thread":
-        if router is None or n_shards <= 0:
-            raise KernelError("thread backend needs a router and shard count")
-        return ThreadBackend(router, n_shards, timer)
     if name == "process":
         raise KernelError(
             "the process backend is built by the Kernel facade "

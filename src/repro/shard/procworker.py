@@ -12,8 +12,10 @@ one reply out, strictly alternating per worker):
   command is ``("run_to", horizon, budget, handoffs)`` — deliver the
   listed cross-shard handoffs, run the loop to *horizon* under *budget*,
   and reply with ``(executed, busy_seconds, outbound_handoffs, dirty)``.
-  The rest are state mirroring (``digest``, ``advance_clock``) and facade
-  delegation (``call``, ``transport``, ``partition``, ``add_site``, ...).
+  The rest are state mirroring (``digest``, ``advance_clock``), ``add_site``
+  and ``call`` — any engine :class:`~repro.core.kernel.Kernel` method by
+  name, which is how the facade's engine calls (``launch``,
+  ``site_assigned``, ``apply_partition``, ...) reach a worker.
 * worker -> coordinator: ``("ok", (value, now, next_event_time))`` or
   ``("error", summary, traceback)``.  Every reply carries the worker's
   clock and next-event time so the coordinator's
@@ -26,9 +28,9 @@ Cross-shard mail is pickled at the boundary: a worker spools outbound
 :class:`WorkerRouter`), ships them with its reply, and the coordinator
 routes each to the destination proxy's pending list; they ride the next
 command to that worker.  Arrival timestamps are fixed at send time and
-are at least every granted horizon (the same argument that makes the
-thread backend's inbox deferral safe), so a handoff can never be needed
-before it has crossed.
+are at least the sending shard's lookahead past its clock, which is at
+least every horizon granted in the sending round, so a handoff can never
+be needed before it has crossed.
 
 Facade views (``stats``, ``table``, ``sites``, ``event_log``) are served
 from per-run **state digests**: after each ``ShardSet.run`` the
@@ -57,13 +59,13 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.core.errors import KernelError, UnknownSiteError
+from repro.core.errors import KernelError
 from repro.core.lifecycle import AgentRecord, make_retention
 from repro.core.timing import PAST_EPSILON, default_timer
 from repro.net.stats import NetworkStats
 from repro.obs import MetricsRegistry, SpanMirror
 from repro.shard.backend import ShardBackend
-from repro.shard.router import ShardBoundary, ShardContext
+from repro.shard.router import MailRouter, ShardContext, _record_handoff_span
 from repro.store.policy import resolve_policy
 
 __all__ = ["ProcessBackend", "ProcessEngineProxy", "WorkerSpec",
@@ -131,39 +133,29 @@ def preload_module_names(registry) -> Tuple[str, ...]:
 # worker side (runs in the spawned child)
 # ==============================================================================
 
-class WorkerRouter:
-    """Worker-side stand-in for the MailRouter: placement + outbound spool.
+class WorkerRouter(MailRouter):
+    """The worker-side MailRouter: placement plus an outbound spool.
 
     The engine's transport consults a normal :class:`ShardBoundary` over
     this router, so the send-time handoff semantics are identical to the
-    in-process backends; the only difference is that a dispatched message
+    in-process backend; the only difference is that a dispatched message
     lands in ``outbound`` (to ride the next reply) instead of directly on
     the destination loop.
     """
 
     def __init__(self, shard_id: int, placement: Dict[str, int]):
+        super().__init__(placement)
         self.shard_id = shard_id
-        self.placement = dict(placement)
         self.engine = None  # late-bound: the worker's engine kernel
         self.outbound: List[Tuple[float, Any]] = []
         self.topology_dirty = False
-
-    def boundary_for(self, shard_id: int) -> ShardBoundary:
-        return ShardBoundary(self, shard_id)
 
     def clock_sync_invalidate(self) -> None:
         # Reported to the coordinator with the next reply; the real
         # ClockSync lives coordinator-side.
         self.topology_dirty = True
 
-    def assign(self, site_name: str, shard_id: int) -> None:
-        self.placement[site_name] = shard_id
-
-    def unassign(self, site_name: str) -> None:
-        self.placement.pop(site_name, None)
-
     def dispatch(self, origin_shard: int, message, delay: float):
-        from repro.shard.router import _record_handoff_span
         arrival = self.engine.loop.now + delay
         _record_handoff_span(self.engine, origin_shard,
                              self.placement[message.destination], message,
@@ -205,8 +197,7 @@ class _Worker:
         stats = self.kernel.stats
         now = loop.now
         # Stable arrival sort: the coordinator appends in (origin, seq)
-        # order, so this yields the same total order as the thread
-        # backend's inbox drain.
+        # order, so same-timestamp deliveries tie-break deterministically.
         handoffs = sorted(handoffs, key=lambda entry: entry[0])
         for arrival, message in handoffs:
             if arrival < now - PAST_EPSILON:
@@ -238,40 +229,16 @@ class _Worker:
     def cmd_call(self, method, args, kwargs):
         return getattr(self.kernel, method)(*args, **kwargs)
 
-    def cmd_transport(self, method, args, kwargs):
-        getattr(self.kernel.transport, method)(*args, **kwargs)
-        return None
-
-    def cmd_partition(self, groups):
-        self.kernel.topology.set_partition(groups)
-        self.kernel.transport.flush_outboxes(only_unroutable=True,
-                                             cause="partition")
-        return None
-
-    def cmd_heal(self):
-        self.kernel.topology.heal_partition()
-        return None
-
-    def cmd_add_site(self, name, links, install_system_agents, owner):
-        self.router.assign(name, owner)
+    def cmd_add_site(self, name, links, install_system_agents):
+        # Like cmd_call, but places the site first and replies without
+        # the (unpicklable) Site object.
+        self.router.assign(name, self.router.shard_id)
         try:
             self.kernel.add_site(name, links=links,
                                  install_system_agents=install_system_agents)
         except BaseException:
             self.router.unassign(name)
             raise
-        return None
-
-    def cmd_site_assigned(self, name, links, owner):
-        """A site joined on another shard: mirror placement + topology."""
-        self.router.assign(name, owner)
-        topology = self.kernel.topology
-        if not topology.has_site(name):
-            topology.add_site(name)
-        for link in links:
-            peer, spec = link if isinstance(link, tuple) else (link, None)
-            topology.add_link(name, peer, spec)
-        self.router.topology_dirty = True
         return None
 
     def cmd_digest(self):
@@ -319,11 +286,7 @@ class _Worker:
             "run_to": self.cmd_run_to,
             "advance_clock": self.cmd_advance_clock,
             "call": self.cmd_call,
-            "transport": self.cmd_transport,
-            "partition": self.cmd_partition,
-            "heal": self.cmd_heal,
             "add_site": self.cmd_add_site,
-            "site_assigned": self.cmd_site_assigned,
             "digest": self.cmd_digest,
         }
         loop = None
@@ -372,22 +335,6 @@ def worker_main(conn, spec: WorkerSpec) -> None:  # pragma: no cover - child
 # coordinator side: mirrors + proxy + backend
 # ==============================================================================
 
-class _MirrorClock:
-    """Duck-types SimClock over the mirror (advances are coordinator-local)."""
-
-    __slots__ = ("_loop",)
-
-    def __init__(self, loop: "MirrorLoop"):
-        self._loop = loop
-
-    @property
-    def now(self) -> float:
-        return self._loop.now
-
-    def _advance_to(self, timestamp: float) -> None:
-        self._loop.advance_local(timestamp)
-
-
 class MirrorLoop:
     """Coordinator-side mirror of a worker's event-loop clock and queue head.
 
@@ -402,7 +349,6 @@ class MirrorLoop:
         self.now = 0.0
         self._next: Optional[float] = None
         self.processed = 0
-        self.clock = _MirrorClock(self)
 
     def apply(self, now: float, next_time: Optional[float],
               executed: int = 0) -> None:
@@ -427,7 +373,7 @@ class MirrorLoop:
         raise KernelError(
             "the process shard backend keeps event loops worker-side; "
             "coordinator code cannot schedule events on a shard "
-            "(use shard_backend='thread' or 'inproc' for loop-level access)")
+            "(use shard_backend='inproc' for loop-level access)")
 
     schedule = _no_schedule
     schedule_at = _no_schedule
@@ -436,29 +382,6 @@ class MirrorLoop:
     def __repr__(self) -> str:
         return (f"MirrorLoop(shard={self._proxy.shard_id}, now={self.now:.6f}, "
                 f"processed={self.processed})")
-
-
-class MirrorTransport:
-    """Facade-visible transport handle: control RPCs only, no sends."""
-
-    def __init__(self, proxy: "ProcessEngineProxy", name: str):
-        self._proxy = proxy
-        self.name = name
-
-    def on_site_down(self, site_name: str) -> None:
-        self._proxy._request("transport", "on_site_down", (site_name,), {})
-
-    def on_site_up(self, site_name: str) -> None:
-        self._proxy._request("transport", "on_site_up", (site_name,), {})
-
-    def flush_outboxes(self, only_unroutable: bool = False,
-                       cause: str = "manual") -> None:
-        self._proxy._request("transport", "flush_outboxes", (),
-                             {"only_unroutable": only_unroutable,
-                              "cause": cause})
-
-    def __repr__(self) -> str:
-        return f"MirrorTransport({self.name!r}, shard={self._proxy.shard_id})"
 
 
 class SiteMirror:
@@ -487,7 +410,7 @@ class SiteMirror:
             f"site {self.name!r} lives in a shard worker process; the "
             f"coordinator serves digests (alive/load/counters) only — "
             f"per-agent residents() / cabinet() queries need "
-            f"shard_backend='thread' or 'inproc'")
+            f"shard_backend='inproc'")
 
     residents = _digest_only
     cabinet = _digest_only
@@ -605,17 +528,25 @@ class _WorkerHandle:
         return self.recv()
 
 
+def _engine_call(method: str):
+    """A proxy method running the engine Kernel's *method* in the worker."""
+    def call(self, *args, **kwargs):
+        return self._request("call", method, args, kwargs)
+    call.__name__ = method
+    return call
+
+
 class ProcessEngineProxy:
     """The facade-visible 'engine' for one worker process.
 
-    Presents the slice of the engine-kernel surface the sharded facade
-    touches: delegation methods become RPCs, state attributes are mirrors
-    refreshed from worker replies and per-run digests.
+    Answers the engine calls the sharded facade makes on an in-process
+    engine kernel: each becomes a ``call`` RPC running the same
+    :class:`~repro.core.kernel.Kernel` method worker-side.  State
+    attributes are mirrors refreshed from worker replies and per-run
+    digests.
     """
 
-    def __init__(self, backend: "ProcessBackend", handle: _WorkerHandle,
-                 spec: WorkerSpec, transport_name: str):
-        self.backend = backend
+    def __init__(self, handle: _WorkerHandle, spec: WorkerSpec):
         self.handle = handle
         self.shard_id = spec.shard_id
         self.loop = MirrorLoop(self)
@@ -627,7 +558,8 @@ class ProcessEngineProxy:
             name: SiteMirror(name) for name in sorted(spec.owned)}
         self.stores: Dict[str, Any] = {}
         self.durability = resolve_policy(spec.config.durability)
-        self.transport = MirrorTransport(self, transport_name)
+        #: the transport lives worker-side
+        self.transport = None
         # Coordinator-side placeholder matching the engine's seed derivation;
         # the authoritative stream lives in the worker.
         self.rng = random.Random(spec.config.rng_seed + spec.shard_id)
@@ -655,22 +587,18 @@ class ProcessEngineProxy:
         self.loop.apply(now, next_time)
         return value
 
-    # -- facade delegation surface ----------------------------------------------
+    # -- the engine calls -------------------------------------------------------
 
-    def launch(self, site_name, behaviour, briefcase=None, name=None,
-               system=False, delay=0.0):
-        return self._request("call", "launch", (site_name, behaviour, briefcase),
-                             {"name": name, "system": system, "delay": delay})
-
-    def launch_many(self, requests, delay=0.0):
-        return self._request("call", "launch_many", (list(requests),),
-                             {"delay": delay})
-
-    def install_agent(self, site_name, name, behaviour, system=False,
-                      replace=False):
-        return self._request("call", "install_agent",
-                             (site_name, name, behaviour),
-                             {"system": system, "replace": replace})
+    launch = _engine_call("launch")
+    launch_many = _engine_call("launch_many")
+    install_agent = _engine_call("install_agent")
+    make_durable = _engine_call("make_durable")
+    log_event = _engine_call("log_event")
+    site_assigned = _engine_call("site_assigned")
+    remote_site_down = _engine_call("remote_site_down")
+    remote_site_up = _engine_call("remote_site_up")
+    apply_partition = _engine_call("apply_partition")
+    apply_heal = _engine_call("apply_heal")
 
     def crash_site(self, name):
         self._request("call", "crash_site", (name,), {})
@@ -687,39 +615,21 @@ class ProcessEngineProxy:
             if mirror is not None:
                 mirror.alive = True
 
-    def make_durable(self, cabinet_name, sites=None):
-        return self._request("call", "make_durable", (cabinet_name,),
-                             {"sites": sites})
-
-    def log_event(self, agent_id, site_name, message):
-        self._request("call", "log_event", (agent_id, site_name, message), {})
-
-    def add_site(self, name, links=(), install_system_agents=None,
-                 owner: Optional[int] = None) -> SiteMirror:
-        self._request("add_site", name, list(links), install_system_agents,
-                      self.shard_id if owner is None else owner)
+    def add_site(self, name, links=(), install_system_agents=None) -> SiteMirror:
+        self._request("add_site", name, list(links), install_system_agents)
         mirror = SiteMirror(name)
         self.sites[name] = mirror
         return mirror
 
-    def site_assigned(self, name, links, owner):
-        self._request("site_assigned", name, list(links), owner)
-
-    def partition(self, groups):
-        self._request("partition", [list(group) for group in groups])
-
-    def heal_partition(self):
-        self._request("heal")
-
     def on_site_added(self, callback):
         raise KernelError(
             "on_site_added subscriptions cannot cross the process boundary; "
-            "use shard_backend='thread' or 'inproc'")
+            "use shard_backend='inproc'")
 
     def on_site_recovered(self, callback):
         raise KernelError(
             "on_site_recovered subscriptions cannot cross the process "
-            "boundary; use shard_backend='thread' or 'inproc'")
+            "boundary; use shard_backend='inproc'")
 
     # -- digest application -----------------------------------------------------
 
@@ -753,18 +663,17 @@ class ProcessBackend(ShardBackend):
     """Spawns one worker per shard and drives rounds over pipes."""
 
     name = "process"
-    distributed = True
 
-    def __init__(self, specs: Sequence[WorkerSpec], transport_name: str,
-                 timer=default_timer):
+    def __init__(self, specs: Sequence[WorkerSpec], placement: Dict[str, int],
+                 clock_sync, timer=default_timer):
         super().__init__(timer)
         self._handles: List[_WorkerHandle] = []
         self.proxies: List[ProcessEngineProxy] = []
         #: shared with the facade's MailRouter so late-joining sites route
-        self.placement: Dict[str, int] = {}
-        #: coordinator ClockSync, set by the facade; workers report
-        #: topology growth and the dirty flag propagates here
-        self.clock_sync = None
+        self.placement = placement
+        #: the coordinator's ClockSync; workers report topology growth and
+        #: the dirty flag propagates here
+        self.clock_sync = clock_sync
         self._closed = False
         ctx = multiprocessing.get_context("spawn")
         try:
@@ -777,8 +686,7 @@ class ProcessBackend(ShardBackend):
                 child_conn.close()
                 handle = _WorkerHandle(spec.shard_id, parent_conn, process)
                 self._handles.append(handle)
-                self.proxies.append(
-                    ProcessEngineProxy(self, handle, spec, transport_name))
+                self.proxies.append(ProcessEngineProxy(handle, spec))
         except BaseException:
             self.close()
             raise
@@ -786,34 +694,25 @@ class ProcessBackend(ShardBackend):
     # -- round execution --------------------------------------------------------
 
     def run_bursts(self, plans, budget):
-        if not plans:
-            return 0, 0.0
-        if budget is not None or len(plans) == 1:
-            total = 0
-            busy_max = 0.0
+        if budget is None:
+            # Every burst runs at once: send all commands, then collect.
             for shard, horizon in plans:
-                remaining = None if budget is None else budget - total
-                if remaining is not None and remaining <= 0:
+                proxy = shard.engine
+                proxy.handle.send(("run_to", horizon, None, proxy.take_pending()))
+            bursts = [self._collect(shard) for shard, _horizon in plans]
+        else:
+            # A budget is consumed in shard order, one burst at a time.
+            bursts = []
+            for shard, horizon in plans:
+                remaining = budget - sum(executed for executed, _ in bursts)
+                if remaining <= 0:
                     break
                 proxy = shard.engine
                 proxy.handle.send(
                     ("run_to", horizon, remaining, proxy.take_pending()))
-                executed, busy = self._collect(shard)
-                total += executed
-                if busy > busy_max:
-                    busy_max = busy
-            return total, busy_max
-        for shard, horizon in plans:
-            proxy = shard.engine
-            proxy.handle.send(("run_to", horizon, None, proxy.take_pending()))
-        total = 0
-        busy_max = 0.0
-        for shard, _horizon in plans:
-            executed, busy = self._collect(shard)
-            total += executed
-            if busy > busy_max:
-                busy_max = busy
-        return total, busy_max
+                bursts.append(self._collect(shard))
+        return (sum(executed for executed, _ in bursts),
+                max((busy for _, busy in bursts), default=0.0))
 
     def _collect(self, shard) -> Tuple[int, float]:
         proxy = shard.engine
@@ -821,12 +720,16 @@ class ProcessBackend(ShardBackend):
             proxy.handle.recv()
         proxy.loop.apply(now, next_time, executed)
         shard.busy_seconds += busy
-        if dirty and self.clock_sync is not None:
+        if dirty:
             self.clock_sync.invalidate()
         for arrival, message in outbound:
             owner = self.placement[message.destination]
             self.proxies[owner].pending.append((arrival, message))
         return executed, busy
+
+    def advance_clock(self, shard, target: float) -> None:
+        # Coordinator-side only; finish_run pushes the clock to the worker.
+        shard.engine.loop.advance_local(target)
 
     def finish_run(self) -> None:
         """Push lagging clocks + parked handoffs, then pull state digests."""

@@ -17,8 +17,7 @@ that has been granted yet.
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.core.timing import PAST_EPSILON
 
@@ -90,30 +89,11 @@ class MailRouter:
     transport computed, so the delivery-side checks (site down at arrival,
     partition formed in flight, batch unbatching) run unchanged on the
     owning shard.
-
-    With ``inbox_handoffs=True`` (the thread backend) a handoff is instead
-    appended to a per-owning-shard locked inbox and only scheduled when the
-    owner drains its inbox at the next round start.  That keeps every
-    ``EventLoop`` single-threaded: the loop heap is touched only by its own
-    shard's burst and by the coordinator between rounds.  Deferring the
-    schedule is safe because the arrival timestamp is at least the sending
-    shard's lookahead past its clock, which is at least every horizon
-    granted in the sending round — no shard can need the message before
-    the round ends.
     """
 
-    def __init__(self, placement: Dict[str, int], inbox_handoffs: bool = False):
+    def __init__(self, placement: Dict[str, int]):
         self.placement = dict(placement)
         self._engines: List = []
-        self.inbox_handoffs = bool(inbox_handoffs)
-        #: inbox entries are (arrival, origin shard, per-origin seq, message);
-        #: the drain sorts on that triple so the delivery order is a pure
-        #: function of the simulation, not of thread interleaving
-        self._inboxes: List[List[Tuple[float, int, int, object]]] = []
-        self._inbox_locks: List[threading.Lock] = []
-        #: per-origin dispatch counters; each slot is only ever touched by
-        #: its own shard's burst, so no lock is needed
-        self._origin_seq: List[int] = []
         #: back-reference set by the facade so engines can invalidate the
         #: lookahead matrix when they grow the topology
         self.clock_sync = None
@@ -126,14 +106,11 @@ class MailRouter:
     def attach_engines(self, engines: Sequence) -> None:
         """Late-bind the shard engines (they need the router to construct)."""
         self._engines = list(engines)
-        if self.inbox_handoffs:
-            self._inboxes = [[] for _ in self._engines]
-            self._inbox_locks = [threading.Lock() for _ in self._engines]
-            self._origin_seq = [0] * len(self._engines)
 
-    def owner_of(self, site_name: str) -> Optional[int]:
-        """The owning shard id of *site_name*, or None if unplaced."""
-        return self.placement.get(site_name)
+    def owned_by(self, shard_id: int) -> frozenset:
+        """The site names placed on shard *shard_id*."""
+        return frozenset(name for name, owner in self.placement.items()
+                         if owner == shard_id)
 
     def assign(self, site_name: str, shard_id: int) -> None:
         """Place a late-joining site (see the facade's ``add_site``)."""
@@ -146,10 +123,6 @@ class MailRouter:
     def boundary_for(self, shard_id: int) -> ShardBoundary:
         """The boundary adapter shard *shard_id*'s transport consults."""
         return ShardBoundary(self, shard_id)
-
-    def engine_for(self, site_name: str):
-        """The engine kernel owning *site_name* (KeyError if unplaced)."""
-        return self._engines[self.placement[site_name]]
 
     def dispatch(self, origin_shard: int, message, delay: float):
         """Schedule a cross-shard delivery on the destination's loop.
@@ -165,17 +138,6 @@ class MailRouter:
         dest_shard = self.placement[message.destination]
         arrival = origin.loop.now + delay
         _record_handoff_span(origin, origin_shard, dest_shard, message, arrival)
-        if self.inbox_handoffs:
-            # Park it in the owner's inbox; lateness (only possible with an
-            # optimistic flow bonus) is judged drain-side against the
-            # owner's clock, where that clock is stable.
-            origin.stats.record_shard_handoff(message.size_bytes())
-            seq = self._origin_seq[origin_shard]
-            self._origin_seq[origin_shard] = seq + 1
-            entry = (arrival, origin_shard, seq, message)
-            with self._inbox_locks[dest_shard]:
-                self._inboxes[dest_shard].append(entry)
-            return entry
         dest = self._engines[dest_shard]
         dest_now = dest.loop.now
         late = arrival < dest_now - PAST_EPSILON
@@ -184,40 +146,6 @@ class MailRouter:
             max(arrival, dest_now),
             lambda: dest.transport._deliver(message),
             label=f"shard-handoff-{message.message_id}")
-
-    def drain_inboxes(self) -> int:
-        """Schedule every parked handoff on its owner's loop.
-
-        Called by the coordinator at round start, before next-event times
-        are read — the drained messages are part of the owner's future and
-        must count toward its ``next_event_time``.  Returns the number of
-        messages drained (coordination telemetry).
-        """
-        if not self.inbox_handoffs:
-            return 0
-        drained = 0
-        for shard_id, lock in enumerate(self._inbox_locks):
-            with lock:
-                batch = self._inboxes[shard_id]
-                if not batch:
-                    continue
-                self._inboxes[shard_id] = []
-            dest = self._engines[shard_id]
-            dest_now = dest.loop.now
-            # The append order above depends on thread interleaving; the
-            # (arrival, origin, seq) sort restores a deterministic total
-            # order so same-timestamp deliveries tie-break identically on
-            # every run and every backend.
-            batch.sort(key=lambda entry: entry[:3])
-            for arrival, _origin, _seq, message in batch:
-                if arrival < dest_now - PAST_EPSILON:
-                    dest.stats.record_shard_late_arrival()
-                dest.loop.schedule_at(
-                    max(arrival, dest_now),
-                    lambda m=message, d=dest: d.transport._deliver(m),
-                    label=f"shard-handoff-{message.message_id}")
-            drained += len(batch)
-        return drained
 
     def __repr__(self) -> str:
         shards = len(set(self.placement.values()))

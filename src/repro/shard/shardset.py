@@ -1,25 +1,25 @@
 """The shard coordinator: N engine kernels advanced in conservative rounds.
 
-The :class:`ShardSet` is what the sharded :class:`~repro.core.kernel.Kernel`
-facade delegates ``run()`` to.  Each round it:
+The :class:`ShardSet` is what the sharded kernel facade
+(:class:`~repro.shard.facade.ShardedKernel`) delegates ``run()`` to.  Each
+round it:
 
-1. lets the backend deliver queued cross-shard traffic
-   (:meth:`~repro.shard.backend.ShardBackend.begin_round`),
-2. reads every shard's next-event time and asks the
+1. reads every shard's next-event time and asks the
    :class:`~repro.shard.clocksync.ClockSync` for safe horizons,
-3. builds the round's **burst plan** — shards with an event due before
+2. builds the round's **burst plan** — shards with an event due before
    their horizon — and hands it to the execution backend
-   (:mod:`repro.shard.backend`: serial ``inproc``, ``thread`` pool, or
-   ``process`` workers).  Shards whose next event lies beyond their
-   horizon only get their clock advanced; they are *not* charged busy
-   time for a zero-event burst (the PR 6 accounting bracketed every
-   ``run_until`` call, inflating the parallel-host model on small rounds).
+   (:mod:`repro.shard.backend`: serial ``inproc`` or ``process``
+   workers).  Shards whose next event lies beyond their horizon only get
+   their clock advanced; they are *not* charged busy time for a
+   zero-event burst.
 
 Rounds repeat until every queue drains, every next event lies beyond
 ``until``, or the global ``max_events`` budget is exhausted.  The budget
 is global — shards share it in shard order, which forces serial execution
 on every backend — and exhausting it leaves every clock exactly where its
-last event fired, mirroring the single-loop ``run_until`` semantics.
+last event fired, mirroring the single-loop ``run_until`` semantics.  A
+clean finish leaves every clock on one common time: ``until`` when given,
+else the latest shard clock, so the next launch starts everywhere at once.
 
 Timing uses an injectable ``timer`` (default
 :data:`repro.core.timing.default_timer`) so
@@ -79,13 +79,11 @@ class ShardSet:
         #: horizons, and building burst plans between bursts
         self.sync_seconds = 0.0
         #: wall-clock seconds of per-round dispatch overhead: round wall
-        #: time minus the slowest burst (pool hops, inbox drains, worker
-        #: round-trips).  inproc rounds pay total-minus-max serialisation
-        #: here too, so E15 can break coordination cost out of the speedup.
+        #: time minus the slowest burst (worker round-trips).  inproc
+        #: rounds pay total-minus-max serialisation here too, so E15 can
+        #: break coordination cost out of the speedup.
         self.overhead_seconds = 0.0
-        #: cross-shard messages delivered via deferred inbox/worker paths
-        self.handoffs_drained = 0
-        #: the facade's own tracer (repro.obs), set by Kernel._init_facade
+        #: the facade's own tracer (repro.obs), set by the ShardedKernel
         #: when observability is on; records one span per run() drive
         self.obs = None
 
@@ -107,8 +105,10 @@ class ShardSet:
         """Advance every shard; returns the total events executed.
 
         ``until`` is honoured globally: no shard's clock passes it, and on
-        a clean finish every clock lands exactly on it.  ``max_events`` is
-        a single global budget consumed across shards in shard order.
+        a clean finish every clock lands exactly on it.  A clean drain
+        (``until=None``) moves every clock to the latest shard clock, as
+        one loop draining the same events would have.  ``max_events`` is a
+        single global budget consumed across shards in shard order.
         """
         total = 0
         timer = self.timer
@@ -129,7 +129,6 @@ class ShardSet:
                 budget_stopped = True
                 break
             sync_start = timer()
-            self.handoffs_drained += backend.begin_round()
             next_times = self.next_event_times()
             live = [at for at in next_times.values() if at is not None]
             if not live:
@@ -159,20 +158,23 @@ class ShardSet:
             self.overhead_seconds += max(
                 0.0, (timer() - round_start) - busy_max)
             total += executed
-        if until is not None and not budget_stopped:
-            # Clean finish: every shard's clock lands on the target, exactly
-            # like the single-loop run_until (events beyond it stay queued).
+        if not budget_stopped:
+            # Clean finish: every shard's clock lands on one common time —
+            # the target, exactly like the single-loop run_until (events
+            # beyond it stay queued), or after a drain the latest clock, so
+            # the next launch cannot start on clocks that are apart.
+            target = until if until is not None else max(
+                shard.engine.loop.now for shard in self.shards)
             for shard in self.shards:
-                backend.advance_clock(shard, until)
+                backend.advance_clock(shard, target)
         backend.finish_run()
         if obs is not None:
             obs.finish(run_span, events=total,
-                       rounds=self.rounds - run_span.attrs["rounds_before"],
-                       handoffs=self.handoffs_drained)
+                       rounds=self.rounds - run_span.attrs["rounds_before"])
         return total
 
     def close(self) -> None:
-        """Shut down the execution backend (worker threads / processes)."""
+        """Shut down the execution backend (worker processes)."""
         self.backend.close()
 
     # -- telemetry --------------------------------------------------------------

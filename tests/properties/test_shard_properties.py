@@ -84,22 +84,6 @@ def test_sharding_is_deterministic_across_repeats(seed, shards):
     assert first == second
 
 
-@settings(max_examples=12, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10_000),
-       n_sites=st.integers(min_value=4, max_value=10),
-       n_agents=st.integers(min_value=1, max_value=8),
-       hops=st.integers(min_value=0, max_value=3),
-       shards=st.integers(min_value=2, max_value=5))
-def test_thread_backend_matches_inproc(seed, n_sites, n_agents, hops, shards):
-    """The thread backend is a pure execution change: same counters, same
-    completed agents, same results, on any seeded churn."""
-    inproc = run_workload(seed, n_sites, n_agents, hops, shards,
-                          backend="inproc")
-    threaded = run_workload(seed, n_sites, n_agents, hops, shards,
-                            backend="thread")
-    assert threaded == inproc
-
-
 def test_process_backend_matches_inproc():
     """Process workers produce the same simulation as the serial loop.
 

@@ -1,11 +1,11 @@
 """Unit tests for repro.shard.backend: the shard execution backend seam.
 
-Covers backend resolution, the thread backend's inbox handoff router, the
-ShardSet's fake-timer cost attribution (busy vs sync vs overhead — the
-PR 6 busy-time fix), the ClockSync dirty-flag coalescing contract, budget
-semantics across backends, the facade's ``shard_summary``/``close``
-surface, and the serialisation plumbing the process backend rides on
-(stats export/load, topology route caching).
+Covers backend resolution, the MailRouter's direct handoff path, the
+ShardSet's fake-timer cost attribution (busy vs sync vs overhead), the
+common clock a drain leaves behind, the ClockSync dirty-flag coalescing
+contract, budget semantics across backends, the facade's
+``shard_summary``/``close`` surface, and the serialisation plumbing the
+process backend rides on (stats export/load, topology route caching).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.net.simclock import EventLoop
 from repro.net.stats import NetworkStats
 from repro.net.topology import LinkSpec, NoRouteError, switched_fabric
 from repro.shard import (BACKENDS, ClockSync, InprocBackend, MailRouter,
-                         Shard, ShardSet, ThreadBackend, make_backend,
+                         Shard, ShardedKernel, ShardSet, make_backend,
                          process_backend_available)
 
 
@@ -33,17 +33,6 @@ def sharded_kernel(backend, site_count=8, shards=4, seed=7):
     return kernel, names
 
 
-def run_churn(backend, max_events=None, site_count=8, shards=4, waves=2):
-    """Deterministic cross-shard churn via the registered bench behaviours."""
-    from repro.bench.workloads import ShardedChurnParams, execute_sharded_churn
-    kernel, result = execute_sharded_churn(ShardedChurnParams(
-        n_sites=site_count, n_agents=8 * waves, wave_size=8, shards=shards,
-        seed=11, backend=backend))
-    counters = kernel.counters()
-    kernel.close()
-    return result, counters
-
-
 # ---------------------------------------------------------------------------
 # backend resolution
 # ---------------------------------------------------------------------------
@@ -51,14 +40,6 @@ def run_churn(backend, max_events=None, site_count=8, shards=4, waves=2):
 class TestBackendResolution:
     def test_make_backend_names(self):
         assert isinstance(make_backend("inproc"), InprocBackend)
-        router = MailRouter({"a": 0}, inbox_handoffs=True)
-        thread = make_backend("thread", router, 2)
-        assert isinstance(thread, ThreadBackend)
-        thread.close()
-
-    def test_thread_backend_needs_router(self):
-        with pytest.raises(KernelError):
-            make_backend("thread")
 
     def test_process_backend_not_built_here(self):
         with pytest.raises(KernelError, match="procworker"):
@@ -80,11 +61,23 @@ class TestBackendResolution:
             Kernel(lan(["a"]), config=KernelConfig(shard_backend="nope"))
 
     def test_every_declared_backend_is_a_string(self):
-        assert BACKENDS == ("inproc", "thread", "process")
+        assert BACKENDS == ("inproc", "process")
+
+    def test_removed_thread_backend_is_rejected(self):
+        with pytest.raises(KernelError, match="unknown shard_backend"):
+            Kernel(lan(["a", "b"]),
+                   config=KernelConfig(shards=2, shard_backend="thread"))
+
+    def test_sharded_config_builds_the_facade_subclass(self):
+        kernel = Kernel(lan(["a", "b"]), config=KernelConfig(shards=2))
+        assert isinstance(kernel, ShardedKernel)
+        assert isinstance(kernel, Kernel)
+        assert type(Kernel(lan(["a", "b"]))) is Kernel
+        kernel.close()
 
 
 # ---------------------------------------------------------------------------
-# the thread backend's inbox router
+# the MailRouter's direct handoff path
 # ---------------------------------------------------------------------------
 
 class _FakeTransport:
@@ -112,52 +105,41 @@ class _FakeMessage:
         return self._size
 
 
-class TestInboxRouter:
+class TestMailRouter:
     def make_router(self):
-        router = MailRouter({"a": 0, "b": 1}, inbox_handoffs=True)
+        router = MailRouter({"a": 0, "b": 1})
         engines = [_FakeEngine(), _FakeEngine()]
         router.attach_engines(engines)
         return router, engines
 
-    def test_dispatch_parks_in_owner_inbox(self):
-        router, engines = self.make_router()
-        message = _FakeMessage("b", "m1")
-        router.dispatch(0, message, delay=0.5)
-        assert engines[1].loop.next_event_time() is None  # not scheduled yet
-        assert engines[0].stats.shard_handoffs == 1
-        assert engines[0].stats.shard_handoff_bytes == 10
-
-    def test_drain_schedules_on_owner_loop(self):
+    def test_dispatch_counts_handoff_on_sender(self):
         router, engines = self.make_router()
         router.dispatch(0, _FakeMessage("b", "m1"), delay=0.5)
-        assert router.drain_inboxes() == 1
+        assert engines[0].stats.shard_handoffs == 1
+        assert engines[0].stats.shard_handoff_bytes == 10
+        assert engines[1].stats.shard_handoffs == 0
+
+    def test_dispatch_schedules_on_owner_loop(self):
+        router, engines = self.make_router()
+        router.dispatch(0, _FakeMessage("b", "m1"), delay=0.5)
         assert engines[1].loop.next_event_time() == pytest.approx(0.5)
         engines[1].loop.run()
         assert [m.message_id for m in engines[1].transport.delivered] == ["m1"]
 
-    def test_same_timestamp_handoffs_drain_in_dispatch_order(self):
-        # The deterministic total order: (arrival, origin, per-origin seq),
-        # independent of which thread appended first.
+    def test_same_timestamp_handoffs_keep_dispatch_order(self):
         router, engines = self.make_router()
         for index in range(4):
             router.dispatch(0, _FakeMessage("b", f"m{index}"), delay=0.25)
-        router.drain_inboxes()
         engines[1].loop.run()
         assert [m.message_id for m in engines[1].transport.delivered] \
             == ["m0", "m1", "m2", "m3"]
 
     def test_late_arrival_clamped_and_counted(self):
         router, engines = self.make_router()
+        engines[1].loop.clock._advance_to(5.0)  # owner's clock already passed
         router.dispatch(0, _FakeMessage("b", "late"), delay=0.1)
-        engines[1].loop.clock._advance_to(5.0)  # owner's round already passed
-        router.drain_inboxes()
-        assert engines[1].stats.shard_late_arrivals == 1
+        assert engines[0].stats.shard_late_arrivals == 1
         assert engines[1].loop.next_event_time() == pytest.approx(5.0)
-
-    def test_drain_is_a_noop_in_direct_mode(self):
-        router = MailRouter({"a": 0, "b": 1})  # direct (inproc) mode
-        router.attach_engines([_FakeEngine(), _FakeEngine()])
-        assert router.drain_inboxes() == 0
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +209,62 @@ class TestCostAttribution:
 
 
 # ---------------------------------------------------------------------------
+# a drain to quiescence leaves one common clock
+# ---------------------------------------------------------------------------
+
+def run_courier_waves(backend):
+    """Waves alternate between slow couriers that stay on shard 0 and quick
+    couriers from shard 1 into shard 0.  Returns every shard clock after
+    each drain, and the late-arrival count."""
+    from repro.bench.workloads import (SHARD_COURIER_NAME, SHARD_SINK_NAME,
+                                       _shard_sink)
+    from repro.core import Briefcase
+    placement = {"a0": 0, "a1": 0, "b0": 1, "b1": 1}
+    kernel = Kernel(lan(list(placement), latency=0.002), transport="tcp",
+                    config=KernelConfig(rng_seed=3, shards=2,
+                                        shard_backend=backend,
+                                        shard_placement=placement))
+    kernel.install_agent(None, SHARD_SINK_NAME, _shard_sink)
+    clocks = []
+    for wave in range(4):
+        slow = wave % 2 == 0
+        requests = []
+        for origin, peer in ((("a0", "a1"), ("a1", "a0")) if slow
+                             else (("b0", "a0"), ("b1", "a1"))):
+            briefcase = Briefcase()
+            briefcase.set("WORK", 1.0 if slow else 0.01)
+            briefcase.set("PEER", peer)
+            briefcase.set("BYTES", 16)
+            requests.append((origin, SHARD_COURIER_NAME, briefcase))
+        kernel.launch_many(requests)
+        kernel.run()
+        clocks.append([shard.engine.loop.now
+                       for shard in kernel.shard_set.shards])
+    late = kernel.shard_summary()["shard_late_arrivals"]
+    completed = kernel.completed
+    kernel.close()
+    return clocks, late, completed
+
+
+class TestDrainLeavesOneClock:
+    """Shard clocks left apart by a drain made the next wave's cross-shard
+    couriers land in their destination shard's past."""
+
+    @pytest.mark.parametrize("backend", [
+        "inproc",
+        pytest.param("process", marks=pytest.mark.skipif(
+            not process_backend_available(),
+            reason="multiprocessing spawn unavailable"))])
+    def test_clocks_meet_after_every_drain(self, backend):
+        clocks, late, completed = run_courier_waves(backend)
+        for after_drain in clocks:
+            assert after_drain[0] == after_drain[1]
+        assert clocks[-1][0] > 2.0  # both slow waves really ran
+        assert late == 0
+        assert completed == 4 * 2 * 3  # couriers, transfers, sinks
+
+
+# ---------------------------------------------------------------------------
 # ClockSync dirty-flag coalescing
 # ---------------------------------------------------------------------------
 
@@ -267,7 +305,7 @@ class TestClockSyncDirtyFlag:
 # ---------------------------------------------------------------------------
 
 class TestBudgetStop:
-    @pytest.mark.parametrize("backend", ["inproc", "thread"])
+    @pytest.mark.parametrize("backend", ["inproc"])
     def test_budget_stops_at_same_point_and_resumes(self, backend):
         # Launch, stop after exactly 5 events, resume to quiescence.
         from repro.bench.workloads import (SHARD_COURIER_NAME,
@@ -315,29 +353,20 @@ class TestBudgetStop:
 # ---------------------------------------------------------------------------
 
 class TestFacadeSurface:
-    def test_thread_matches_inproc_on_churn(self):
-        inproc, inproc_counters = run_churn("inproc")
-        threaded, threaded_counters = run_churn("thread")
-        assert threaded_counters == inproc_counters
-        assert threaded.events == inproc.events
-        assert threaded.handoffs == inproc.handoffs
-        assert threaded.sim_seconds == inproc.sim_seconds
-
     def test_shard_summary_surfaces_coordination_ledger(self):
         from repro.bench.workloads import ShardedChurnParams, \
             execute_sharded_churn
         kernel, _result = execute_sharded_churn(ShardedChurnParams(
             n_sites=8, n_agents=16, wave_size=8, shards=4, seed=11,
-            backend="thread"))
+            backend="inproc"))
         summary = kernel.shard_summary()
         assert summary["shards"] == 4
-        assert summary["backend"] == "thread"
+        assert summary["backend"] == "inproc"
         assert summary["shard_handoffs"] > 0
         assert summary["shard_handoff_bytes"] > 0
         assert summary["shard_late_arrivals"] == 0
         assert summary["rounds"] > 0
         assert summary["clock_rebuilds"] >= 1
-        assert summary["handoffs_drained"] == summary["shard_handoffs"]
         kernel.close()
 
     def test_shard_summary_on_classic_kernel(self):
@@ -348,7 +377,7 @@ class TestFacadeSurface:
         kernel.close()  # no-op, must not raise
 
     def test_close_is_idempotent(self):
-        kernel, _names = sharded_kernel("thread")
+        kernel, _names = sharded_kernel("inproc")
         kernel.run(until=0.01)
         kernel.close()
         kernel.close()
